@@ -162,33 +162,6 @@ func MustRun(cfg CoreConfig, tr *Trace) RunResult {
 	return sim.MustRun(cfg, tr, sim.RunOptions{})
 }
 
-// BatchItem is one independent single-core job of a RunBatch call.
-type BatchItem = sim.BatchItem
-
-// BatchOptions configures RunBatch.
-type BatchOptions = sim.BatchOptions
-
-// RunBatch executes independent single-core jobs across worker goroutines,
-// each worker advancing its group of cores in a cache-friendly interleave.
-// Results are returned in item order, bit-identical to per-item Run calls.
-func RunBatch(ctx context.Context, items []BatchItem, opts BatchOptions) ([]RunResult, error) {
-	return sim.RunBatch(ctx, items, opts)
-}
-
-// ContestBatchItem is one independent contest of a ContestRunBatch call.
-type ContestBatchItem = contest.BatchItem
-
-// ContestBatchOptions configures ContestRunBatch.
-type ContestBatchOptions = contest.BatchOptions
-
-// ContestRunBatch executes independent contests across worker goroutines,
-// each worker advancing its group of contest systems in a quantum
-// round-robin. Results are returned in item order, bit-identical to
-// per-item ContestRun calls.
-func ContestRunBatch(ctx context.Context, items []ContestBatchItem, opts ContestBatchOptions) ([]ContestResult, error) {
-	return contest.RunBatch(ctx, items, opts)
-}
-
 // ContestRun executes a trace on all the given cores in a contesting
 // (leader-follower) arrangement and reports the system result.
 func ContestRun(cfgs []CoreConfig, tr *Trace, opts ContestOptions) (ContestResult, error) {

@@ -6,10 +6,7 @@
 // scenarios standalone and emits BENCH_engine.json.
 package archcontest
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 func benchmarkEngineRun(b *testing.B, bench, core string, singleStep bool) {
 	b.Helper()
@@ -64,34 +61,3 @@ func BenchmarkEngineContest(b *testing.B) { benchmarkEngineContest(b, "twolf", "
 func BenchmarkEngineContestSingleStep(b *testing.B) {
 	benchmarkEngineContest(b, "twolf", "twolf", "vpr", true)
 }
-
-// Batched stepping through the public API: `size` independent copies of
-// the mem-bound scenario advance on one worker in RunBatch's
-// cache-friendly quantum interleave. Per-instruction throughput should
-// hold steady (or improve) as the batch widens; internal/pipeline's
-// BenchmarkBatchStep measures the same at the core level with allocation
-// tracking.
-func benchmarkEngineBatch(b *testing.B, size int) {
-	b.Helper()
-	tr := MustGenerateTrace("mcf", 100_000)
-	cfg := MustPaletteCore("mcf")
-	items := make([]BatchItem, size)
-	for i := range items {
-		items[i] = BatchItem{Config: cfg, Trace: tr}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := RunBatch(context.Background(), items, BatchOptions{Workers: 1, GroupSize: size})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rs) != size {
-			b.Fatal("short batch")
-		}
-	}
-	b.ReportMetric(float64(size*tr.Len()*b.N)/b.Elapsed().Seconds()/1e6, "Msim-inst/s")
-}
-
-func BenchmarkEngineBatch1(b *testing.B)  { benchmarkEngineBatch(b, 1) }
-func BenchmarkEngineBatch4(b *testing.B)  { benchmarkEngineBatch(b, 4) }
-func BenchmarkEngineBatch16(b *testing.B) { benchmarkEngineBatch(b, 16) }

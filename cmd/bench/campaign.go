@@ -7,6 +7,9 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"archcontest/internal/cmdutil"
@@ -26,10 +29,6 @@ type campaignLeg struct {
 	// Scaling is the cold-campaign wall-time speedup of this worker count
 	// over the workers=1 row of the same series (scaling rows only).
 	Scaling float64 `json:"scaling,omitempty"`
-	// ContestBatch is the Lab's contest-batch width for this leg (scaling
-	// rows only): >1 means cache-missing contests of a candidate fan-out
-	// were interleaved that many per leaf, 1 means contest batching off.
-	ContestBatch int `json:"contest_batch,omitempty"`
 }
 
 type campaignReport struct {
@@ -43,23 +42,35 @@ type campaignReport struct {
 	// cache with that many workers, and Scaling reports its wall-time
 	// speedup over the workers=1 row. Interpret it against NumCPU — a
 	// single-CPU runner honestly bounds the series at ~1.0x.
-	ColdWorkers []campaignLeg `json:"cold_workers,omitempty"`
-	// ColdWorkersNoBatch repeats the series with contest batching off
-	// (ContestBatch=1), the workers x contest-batch on/off grid: comparing
-	// the two series isolates what interleaved contest leaves contribute
-	// beyond plain worker parallelism. Same NumCPU caveat.
-	ColdWorkersNoBatch []campaignLeg `json:"cold_workers_nobatch,omitempty"`
-	ColdParallel       campaignLeg   `json:"cold_parallel"`
-	WarmParallel       campaignLeg   `json:"warm_parallel"`
-	ParallelSpeedup    float64       `json:"parallel_speedup"`
-	WarmSpeedup        float64       `json:"warm_speedup"`
+	ColdWorkers     []campaignLeg `json:"cold_workers,omitempty"`
+	ColdParallel    campaignLeg   `json:"cold_parallel"`
+	WarmParallel    campaignLeg   `json:"warm_parallel"`
+	ParallelSpeedup float64       `json:"parallel_speedup"`
+	WarmSpeedup     float64       `json:"warm_speedup"`
+}
+
+// parseWorkerList parses a comma-separated list of worker counts.
+func parseWorkerList(s string) ([]int, error) {
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		w, err := strconv.Atoi(f)
+		if err != nil || w < 1 {
+			return nil, fmt.Errorf("bad worker count %q", f)
+		}
+		out = append(out, w)
+	}
+	sort.Ints(out)
+	return out, nil
 }
 
 // campaignLegRun executes the full figures experiment sweep once on a lab
-// with the given parallelism, contest-batch width (0 = Lab default), and
-// cache, and reports what it measured.
-func campaignLegRun(ctx context.Context, name string, n, workers, contestBatch int, cache *resultcache.Cache) campaignLeg {
-	lab := experiments.NewLab(experiments.Config{N: n, Parallelism: workers, ContestBatch: contestBatch, Cache: cache})
+// with the given parallelism and cache, and reports what it measured.
+func campaignLegRun(ctx context.Context, name string, n, workers int, cache *resultcache.Cache) campaignLeg {
+	lab := experiments.NewLab(experiments.Config{N: n, Parallelism: workers, Cache: cache})
 	start := time.Now()
 	for _, id := range experiments.RegistryOrder {
 		if _, err := experiments.Registry[id](ctx, lab); err != nil {
@@ -123,38 +134,25 @@ func runCampaignBench(ctx context.Context, n int, workerList, out string) {
 		NumCPU:      runtime.NumCPU(),
 		Experiments: experiments.RegistryOrder,
 	}
-	rep.ColdSingle = campaignLegRun(ctx, "cold/single", n, 1, 0, open(dirSingle))
-	// The workers x contest-batch on/off grid: one cold series with the
-	// Lab's default contest batching, one with batching off.
-	series := func(tag string, contestBatch int, dst *[]campaignLeg) {
-		var baseWall float64
-		for _, w := range workerCounts {
-			dir, err := os.MkdirTemp("", "archcontest-campaign-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			leg := campaignLegRun(ctx, fmt.Sprintf("cold/workers=%d%s", w, tag), n, w, contestBatch, open(dir))
-			os.RemoveAll(dir)
-			if contestBatch == 0 {
-				leg.ContestBatch = 2 // the Lab default, recorded explicitly
-			} else {
-				leg.ContestBatch = contestBatch
-			}
-			if baseWall == 0 {
-				baseWall = leg.WallSeconds
-			}
-			if baseWall > 0 && leg.WallSeconds > 0 {
-				leg.Scaling = baseWall / leg.WallSeconds
-			}
-			*dst = append(*dst, leg)
+	rep.ColdSingle = campaignLegRun(ctx, "cold/single", n, 1, open(dirSingle))
+	var baseWall float64
+	for _, w := range workerCounts {
+		dir, err := os.MkdirTemp("", "archcontest-campaign-*")
+		if err != nil {
+			log.Fatal(err)
 		}
+		leg := campaignLegRun(ctx, fmt.Sprintf("cold/workers=%d", w), n, w, open(dir))
+		os.RemoveAll(dir)
+		if baseWall == 0 {
+			baseWall = leg.WallSeconds
+		}
+		if baseWall > 0 && leg.WallSeconds > 0 {
+			leg.Scaling = baseWall / leg.WallSeconds
+		}
+		rep.ColdWorkers = append(rep.ColdWorkers, leg)
 	}
-	series("", 0, &rep.ColdWorkers)
-	if len(workerCounts) > 0 {
-		series("/nobatch", 1, &rep.ColdWorkersNoBatch)
-	}
-	rep.ColdParallel = campaignLegRun(ctx, "cold/parallel", n, workers, 0, open(dirParallel))
-	rep.WarmParallel = campaignLegRun(ctx, "warm/parallel", n, workers, 0, open(dirParallel))
+	rep.ColdParallel = campaignLegRun(ctx, "cold/parallel", n, workers, open(dirParallel))
+	rep.WarmParallel = campaignLegRun(ctx, "warm/parallel", n, workers, open(dirParallel))
 	if rep.ColdParallel.WallSeconds > 0 {
 		rep.ParallelSpeedup = rep.ColdSingle.WallSeconds / rep.ColdParallel.WallSeconds
 	}

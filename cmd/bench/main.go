@@ -17,13 +17,14 @@
 //	bench -record=false        # skip the observability-recorder-attached timings
 //	bench -merge               # keep the best time per leg across repeated runs
 //	bench -baseline old.json   # report checker-off wall-time ratio vs old run(s)
-//	bench -workers "1,2,4"     # batched multi-worker scaling leg (RunBatch)
 //	bench -cpuprofile p.prof   # CPU profile (source for cmd/bench/default.pgo)
 //	bench -campaign            # campaign benchmark -> BENCH_campaign.json
 //	bench -campaign -campaign.n 100000
+//	bench -campaign -campaign.workers "1,2,4"  # cold-cache worker scaling rows
+//	bench -cluster             # sharded fleet load -> BENCH_cluster.json
+//	bench -fastmodel           # fast-model calibration -> BENCH_fastmodel.json
 //	bench -statecost           # kill-refork warm-up sweep -> BENCH_statecost.json
 //	bench -leaderboard         # component championship -> BENCH_leaderboard.json
-//	bench -campaign -campaign.workers "1,2,4"  # cold-cache worker scaling rows
 package main
 
 import (
@@ -77,13 +78,6 @@ type report struct {
 	NumCPU         int              `json:"num_cpu"`
 	Scenarios      []scenarioResult `json:"scenarios"`
 	GeomeanSpeedup float64          `json:"geomean_speedup,omitempty"`
-	// Scaling holds the multi-worker throughput series (see -workers).
-	// Interpret it against NumCPU: on a single-CPU runner the series
-	// honestly bounds at ~1.0x no matter how well the engine scales.
-	Scaling []scalingRow `json:"scaling,omitempty"`
-	// ContestScaling is the same series over whole contest systems
-	// (ContestRunBatch, see -contest.workers), with the same NumCPU caveat.
-	ContestScaling []scalingRow     `json:"contest_scaling,omitempty"`
 	Baseline       *baselineCompare `json:"baseline,omitempty"`
 }
 
@@ -151,17 +145,6 @@ func mergeReport(fresh *report, prev report) {
 	}
 	if speedups > 0 {
 		fresh.GeomeanSpeedup = math.Exp(logSpeedup / float64(speedups))
-	}
-	if len(fresh.Scaling) == 0 {
-		// A run without the scaling leg must not drop a previous series.
-		fresh.Scaling = prev.Scaling
-	} else {
-		fresh.Scaling = mergeScaling(fresh.Scaling, prev.Scaling)
-	}
-	if len(fresh.ContestScaling) == 0 {
-		fresh.ContestScaling = prev.ContestScaling
-	} else {
-		fresh.ContestScaling = mergeScaling(fresh.ContestScaling, prev.ContestScaling)
 	}
 }
 
@@ -335,8 +318,6 @@ func main() {
 	leaderboardN := flag.Int("leaderboard.n", 60_000, "leaderboard trace length in instructions")
 	leaderboardOut := flag.String("leaderboard.o", "BENCH_leaderboard.json", "leaderboard output JSON path")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this path (source for cmd/bench/default.pgo)")
-	workers := flag.String("workers", "", "comma-separated worker counts for the multi-core scaling leg (e.g. \"1,2,4\"); empty skips it")
-	contestWorkers := flag.String("contest.workers", "", "comma-separated worker counts for the contest-batch scaling leg (ContestRunBatch); empty skips it")
 	flag.Parse()
 	ctx, stop := cmdutil.SignalContext()
 	defer stop()
@@ -445,20 +426,6 @@ func main() {
 	if speedups > 0 {
 		rep.GeomeanSpeedup = math.Exp(logSpeedup / float64(speedups))
 		fmt.Printf("%-24s %12s %12s %8.2fx\n", "geomean", "", "", rep.GeomeanSpeedup)
-	}
-	if *workers != "" {
-		counts, err := parseWorkerList(*workers)
-		if err != nil {
-			log.Fatalf("-workers: %v", err)
-		}
-		rep.Scaling = runScalingLeg(ctx, counts, *n, *repeat)
-	}
-	if *contestWorkers != "" {
-		counts, err := parseWorkerList(*contestWorkers)
-		if err != nil {
-			log.Fatalf("-contest.workers: %v", err)
-		}
-		rep.ContestScaling = runContestScalingLeg(ctx, counts, *n, *repeat)
 	}
 	if *merge {
 		if data, err := os.ReadFile(*out); err == nil {

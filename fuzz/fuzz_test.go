@@ -99,21 +99,6 @@ func FuzzContest(f *testing.F) {
 		if !reflect.DeepEqual(fast, legacy) {
 			t.Errorf("bitmap scheduler diverges from legacy wake-list\nbitmap: %+v\nlegacy: %+v", fast, legacy)
 		}
-
-		// Batched execution interleaves whole contest systems in a quantum
-		// round-robin; every item must still be bit-identical to its direct
-		// run, for any decoded input.
-		item := contest.BatchItem{Configs: cfgs, Trace: tr, Opts: opts}
-		batch, err := contest.RunBatch(t.Context(), []contest.BatchItem{item, item},
-			contest.BatchOptions{GroupSize: 2})
-		if err != nil {
-			t.Fatalf("batched contest failed: %v", err)
-		}
-		for i, r := range batch {
-			if !reflect.DeepEqual(fast, r) {
-				t.Errorf("batched contest %d diverges from direct run\ndirect: %+v\nbatch: %+v", i, fast, r)
-			}
-		}
 	})
 }
 

@@ -220,6 +220,23 @@ func TestNodeRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestNodeRejectsOversizedN: a trace length above spec.MaxN is refused
+// before any job (or trace) exists, so a small request body cannot make the
+// node allocate gigabytes.
+func TestNodeRejectsOversizedN(t *testing.T) {
+	srv, runner := newTestNode(t, 1, NodeOptions{})
+	code, v := post(t, srv.URL+"/v1/jobs", `{"kind":"run","bench":"gcc","n":2000000000}`)
+	if code != http.StatusUnprocessableEntity {
+		t.Errorf("oversized n: status %d, want 422 (%v)", code, v)
+	}
+	if msg, _ := v["error"].(string); !strings.Contains(msg, "exceeds the maximum") {
+		t.Errorf("oversized n: error %q does not name the bound", msg)
+	}
+	if jobs := runner.Jobs(); len(jobs) != 0 {
+		t.Errorf("oversized n created %d jobs, want 0", len(jobs))
+	}
+}
+
 // TestNodeResultConflict: asking for a result before the job is terminal is
 // a 409, not a hang or a partial payload.
 func TestNodeResultConflict(t *testing.T) {

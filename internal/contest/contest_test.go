@@ -1,6 +1,7 @@
 package contest
 
 import (
+	"strings"
 	"testing"
 
 	"archcontest/internal/branch"
@@ -164,6 +165,19 @@ func TestDeterminism(t *testing.T) {
 	}
 	if r1.Time != r2.Time || r1.Winner != r2.Winner || r1.LeadChanges != r2.LeadChanges {
 		t.Errorf("contest runs differ: %+v vs %+v", r1.Time, r2.Time)
+	}
+}
+
+// TestRunMaxTime: both schedulers stop a contest that outruns its
+// MaxTimeNs budget with a descriptive error instead of running on.
+func TestRunMaxTime(t *testing.T) {
+	tr := workload.MustGenerate("mcf", 8000)
+	cfgs := []config.CoreConfig{fastCore("a"), slowBigCore("b")}
+	for _, singleStep := range []bool{false, true} {
+		_, err := Run(cfgs, tr, Options{MaxTimeNs: 1, SingleStep: singleStep})
+		if err == nil || !strings.Contains(err.Error(), "exceeded") {
+			t.Errorf("singleStep=%v: err = %v, want a time-budget error", singleStep, err)
+		}
 	}
 }
 

@@ -266,20 +266,15 @@ func (s *System) runSingleStep(ctx context.Context) (Result, error) {
 	}
 }
 
-// runner is the resumable form of the event-driven scheduler: the per-run
-// state (the indexed core heap, the fast-forward bounds, the time budget)
-// lives in the struct, and step executes exactly one scheduler iteration —
-// a dead-cycle fast-forward or one core cycle. RunContext drives a runner
-// to completion in a tight loop; RunBatch interleaves many runners, each
-// advancing a quantum of iterations at a time, and the resulting execution
-// of every system is bit-identical to a dedicated sequential run because a
-// runner's state is touched by nothing outside its own System.
+// runner holds the event-driven scheduler's per-run state (the indexed
+// core heap, the fast-forward bounds, the time budget). step executes
+// exactly one scheduler iteration — a dead-cycle fast-forward or one core
+// cycle — and runEventDriven drives it to completion.
 type runner struct {
 	s       *System
 	h       *coreHeap
 	maxTime ticks.Time
 	winner  int
-	done    bool
 }
 
 // newRunner prepares the system for event-driven execution. A system runs
@@ -342,7 +337,6 @@ func (r *runner) step() (bool, error) {
 	if c.Done() {
 		s.settle(i)
 		r.winner = i
-		r.done = true
 		return true, nil
 	}
 	if c.Progressed() {
@@ -358,18 +352,6 @@ func (r *runner) step() (bool, error) {
 	}
 	// The step may have broadcast retirements that clamped any bound.
 	r.h.fix()
-	return false, nil
-}
-
-// advance runs up to n scheduler iterations, stopping early on completion.
-// It reports whether the contest finished.
-func (r *runner) advance(n int) (bool, error) {
-	for j := 0; j < n; j++ {
-		fin, err := r.step()
-		if err != nil || fin {
-			return fin, err
-		}
-	}
 	return false, nil
 }
 

@@ -73,13 +73,6 @@ type Config struct {
 	// VerifyScanEvery strides the checker's O(window) structural scans
 	// (0 = every cycle). Only meaningful with Verify.
 	VerifyScanEvery int64
-	// ContestBatch is how many cache-missing contests one executing leaf
-	// interleaves through contest.RunBatch's quantum round-robin when a
-	// batch-aware artifact (BestPair's candidate fan-out) evaluates a set
-	// of contests (0 means 2; 1 runs each contest as its own leaf, i.e.
-	// batching off). Batching never changes results — each contest system
-	// owns all of its state — only how leaves share a worker's time.
-	ContestBatch int
 	// Artifacts, if non-nil, receives a timed span for every leaf
 	// computation the Lab actually executes (trace generation, single
 	// runs, contests) — the campaign's self-observability timeline.
@@ -212,43 +205,6 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)
 		close(c.done)
 		return c.val, c.err
 	}
-}
-
-// offer memoizes an already-computed value for key if no call exists yet,
-// so batch-computed leaves join the singleflight memo and later per-leaf
-// callers of the same key get the memoized value instead of recomputing.
-// A key with a live or completed call is left untouched.
-func (g *flightGroup) offer(key string, val any) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
-	}
-	if _, ok := g.calls[key]; ok {
-		return
-	}
-	c := &flightCall{done: make(chan struct{}), val: val}
-	close(c.done)
-	g.calls[key] = c
-}
-
-// peek returns the memoized value for key when a call has already completed
-// successfully, without blocking on an in-flight executor.
-func (g *flightGroup) peek(key string) (any, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c, ok := g.calls[key]
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-c.done:
-		if c.err == nil {
-			return c.val, true
-		}
-	default:
-	}
-	return nil, false
 }
 
 func isCtxErr(err error) bool {
@@ -566,115 +522,22 @@ func (l *Lab) ContestConfigs(ctx context.Context, bench string, cfgs []config.Co
 }
 
 // ContestsConfigs evaluates a set of same-benchmark contests, in list
-// order. Each unique configuration is computed once: duplicates share,
-// memoized and cached results are served, and the remaining misses execute
-// as batched leaves — groups of Config.ContestBatch systems interleaved by
-// contest.RunBatch's quantum round-robin, each group occupying one
-// parallelism slot, groups spread across the Lab's workers. Batched
-// results join the singleflight memo and the result cache under the same
-// ContestKey as per-leaf execution, so every layer stays bit-compatible.
-// Verified labs take the per-leaf sequential path (observers attach per
-// contest execution and verified leaves never touch the cache).
+// order, spread across the Lab's workers. Each contest is its own leaf
+// (ContestConfigs), so duplicates in the list, contests already computed
+// or in flight elsewhere, and result-cache hits all share one execution
+// per key.
 func (l *Lab) ContestsConfigs(ctx context.Context, bench string, cfgsList [][]config.CoreConfig, opts contest.Options) ([]contest.Result, error) {
-	n := len(cfgsList)
-	results := make([]contest.Result, n)
-	if n == 0 {
-		return results, nil
-	}
-	if l.cfg.Verify {
-		err := l.parallel(ctx, n, func(i int) error {
-			r, err := l.ContestConfigs(ctx, bench, cfgsList[i], opts)
-			if err != nil {
-				return err
-			}
-			results[i] = r
-			return nil
-		})
+	results := make([]contest.Result, len(cfgsList))
+	err := l.parallel(ctx, len(cfgsList), func(i int) error {
+		r, err := l.ContestConfigs(ctx, bench, cfgsList[i], opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return results, nil
-	}
-	tr, err := l.Trace(ctx, bench)
-	if err != nil {
-		return nil, err
-	}
-	if opts.LatencyNs == 0 {
-		opts.LatencyNs = l.cfg.LatencyNs
-	}
-	keys := make([]string, n)
-	firstOf := make(map[string]int, n)
-	var missIdx []int // first-occurrence indices needing execution
-	for i := range cfgsList {
-		keys[i] = ContestKey(tr, cfgsList[i], opts)
-		if _, dup := firstOf[keys[i]]; dup {
-			continue
-		}
-		firstOf[keys[i]] = i
-		if v, ok := l.flight.peek("contest/" + keys[i]); ok {
-			results[i] = v.(contest.Result)
-			continue
-		}
-		if l.cfg.Cache != nil {
-			var cached contest.Result
-			if l.cfg.Cache.Get(keys[i], &cached) {
-				l.cacheHits.Add(1)
-				results[i] = cached
-				// Join the memo so later per-leaf callers of this key don't
-				// repeat the cache lookup (hit accounting stays one-per-key,
-				// exactly as the per-leaf flight path counts).
-				l.flight.offer("contest/"+keys[i], cached)
-				continue
-			}
-			l.cacheMisses.Add(1)
-		}
-		missIdx = append(missIdx, i)
-	}
-	group := l.cfg.ContestBatch
-	if group < 1 {
-		group = 2
-	}
-	numGroups := (len(missIdx) + group - 1) / group
-	err = l.parallel(ctx, numGroups, func(g int) error {
-		lo, hi := g*group, (g+1)*group
-		if hi > len(missIdx) {
-			hi = len(missIdx)
-		}
-		idx := missIdx[lo:hi]
-		items := make([]contest.BatchItem, len(idx))
-		span := bench
-		for k, i := range idx {
-			items[k] = contest.BatchItem{Configs: cfgsList[i], Trace: tr, Opts: opts}
-			for _, c := range cfgsList[i] {
-				span += "/" + c.Name
-			}
-		}
-		var rs []contest.Result
-		var rerr error
-		if eerr := l.execTimed(ctx, "contest-batch", span, func() {
-			l.contests.Add(int64(len(items)))
-			rs, rerr = contest.RunBatch(ctx, items, contest.BatchOptions{Workers: 1, GroupSize: len(items)})
-		}); eerr != nil {
-			return eerr
-		}
-		if rerr != nil {
-			// A cancelled or failed group never reaches the cache.
-			return rerr
-		}
-		for k, i := range idx {
-			results[i] = rs[k]
-			l.cfg.Cache.Put(keys[i], rs[k])
-			l.flight.offer("contest/"+keys[i], rs[k])
-		}
+		results[i] = r
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i := range cfgsList {
-		if j := firstOf[keys[i]]; j != i {
-			results[i] = results[j]
-		}
 	}
 	return results, nil
 }

@@ -1,13 +1,12 @@
 package pipeline
 
 // Engine microbenchmarks and allocation regression tests for the
-// throughput rework: batched stepping at several batch sizes, bitmap vs
-// legacy wake-list scheduling, and hard zero-allocation assertions on the
-// steady-state step loop (including the divider-retry path, which a
-// missing scratch preallocation would silently regress).
+// throughput rework: bitmap vs legacy wake-list scheduling, and hard
+// zero-allocation assertions on the steady-state step loop (including the
+// divider-retry path, which a missing scratch preallocation would silently
+// regress).
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -27,37 +26,6 @@ func benchCore(b *testing.B, name string, opts Options) *Core {
 		b.Fatal(err)
 	}
 	return c
-}
-
-func runBatchToDone(batch *Batch) {
-	for batch.Pass(DefaultQuantum) > 0 {
-	}
-}
-
-// BenchmarkBatchStep measures batched core stepping at batch sizes 1, 4
-// and 16: each op advances `size` independent cores through a full
-// 20k-instruction mcf trace in DefaultQuantum interleave. Throughput per
-// instruction should be flat (or improve) as the batch widens — the whole
-// point of chunked round-robin is that the marginal core is no more
-// expensive than a lone one.
-func BenchmarkBatchStep(b *testing.B) {
-	for _, size := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cores := make([]*Core, size)
-				for j := range cores {
-					cores[j] = benchCore(b, "mcf", Options{})
-				}
-				batch := NewBatch(cores)
-				b.StartTimer()
-				runBatchToDone(batch)
-			}
-			b.SetBytes(0)
-			b.ReportMetric(float64(size)*benchInsts, "insts/op")
-		})
-	}
 }
 
 // BenchmarkScheduler compares the bitmap ready-selection scheduler against
@@ -97,8 +65,8 @@ func mallocsDuring(f func()) uint64 {
 // TestStepLoopDoesNotAllocate: after construction, running a whole
 // mixed-workload trace performs zero heap allocations — every scratch
 // structure (timing wheel, overflow heap, retry list, bitmap words) must
-// be sized at construction. This is the regression fence for the batched
-// campaign path, where per-step allocations multiply across cores.
+// be sized at construction. This is the regression fence for the
+// campaign, where per-step allocations multiply across cores.
 func TestStepLoopDoesNotAllocate(t *testing.T) {
 	for _, bench := range []string{"mcf", "crafty"} {
 		tr := workload.MustGenerate(bench, 50_000)

@@ -35,6 +35,12 @@ const (
 	KindExplore    = "explore"    // design-space exploration (anneal/temper)
 )
 
+// MaxN bounds a spec's trace length n. A trace is materialised in memory
+// at about 24 bytes per instruction, so the bound keeps one trace near
+// 400 MB: well above the 1M-instruction experiment default, and far below
+// what a single oversized request could otherwise make a node allocate.
+const MaxN = 1 << 24
+
 // Spec declares one scenario. The zero value is not runnable; fill in at
 // least Kind (or a field that implies it) and the kind's inputs, then
 // Validate (Execute validates again defensively).
@@ -180,6 +186,9 @@ func (sp *Spec) Validate() error {
 	}
 	if sp.N < 0 {
 		return fmt.Errorf("spec: negative trace length n = %d", sp.N)
+	}
+	if sp.N > MaxN {
+		return fmt.Errorf("spec: trace length n = %d exceeds the maximum %d", sp.N, MaxN)
 	}
 	if sp.LatencyNs < 0 {
 		return fmt.Errorf("spec: negative latency_ns %g", sp.LatencyNs)
