@@ -86,9 +86,12 @@ func main() {
 	res := *out.Contest
 	fmt.Printf("contested %v @ %.3gns: IPT %.3f  (speedup over own core %.1f%%)\n",
 		res.Cores, *latency, res.IPT(), 100*(res.IPT()/own.IPT()-1))
+	injected := make([]int64, len(res.PerCore))
+	for i, pc := range res.PerCore {
+		injected[i] = pc.Injected
+	}
 	fmt.Printf("winner=%s leadChanges=%d saturated=%v injected=%v\n",
-		res.Cores[res.Winner], res.LeadChanges, res.Saturated,
-		[]int64{res.PerCore[0].Injected, res.PerCore[1].Injected})
+		res.Cores[res.Winner], res.LeadChanges, res.Saturated, injected)
 	if out.Metrics != nil {
 		if err := obsFlags.WriteTimeline(out.WriteChromeTrace); err != nil {
 			log.Fatalf("timeline: %v", err)

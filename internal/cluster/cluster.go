@@ -19,7 +19,7 @@
 //     elsewhere, completed, or failed-with-cause — never silently lost.
 //
 //   - Fleet: an in-process coordinator-plus-nodes harness used by the
-//     load/fault tests and cmd/bench -cluster.
+//     load/fault tests and perfbench's fleet workload.
 package cluster
 
 import (

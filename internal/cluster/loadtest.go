@@ -57,8 +57,8 @@ type PassStats struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// LoadTestResult is the full outcome of RunLoadTest; cmd/bench -cluster
-// serializes it into BENCH_cluster.json.
+// LoadTestResult is the full outcome of RunLoadTest; TestClusterLoad
+// compares the cache-aware and round-robin results.
 type LoadTestResult struct {
 	Nodes      int        `json:"nodes"`
 	Streams    int        `json:"streams"`
