@@ -298,16 +298,26 @@ func (l *Lab) Trace(ctx context.Context, bench string) (*trace.Trace, error) {
 	return v.(*trace.Trace), nil
 }
 
+// TraceIdentity is what a cache key needs of a trace: its name, length
+// and content fingerprint. *trace.Trace satisfies it; so does a
+// remembered identity, which lets a repeat job derive its key without
+// building the trace.
+type TraceIdentity interface {
+	Name() string
+	Len() int
+	Fingerprint() uint64
+}
+
 // RunKey derives the content address of one single-core leaf run. It is
 // the cache identity shared by every layer that executes single runs (Lab,
 // explore, spec): engine version, trace fingerprint and shape, core
 // configuration, run options.
-func RunKey(tr *trace.Trace, cfg config.CoreConfig, opts sim.RunOptions) string {
+func RunKey(tr TraceIdentity, cfg config.CoreConfig, opts sim.RunOptions) string {
 	return resultcache.Key("run", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), cfg, opts)
 }
 
 // ContestKey derives the content address of one contested leaf run.
-func ContestKey(tr *trace.Trace, cfgs []config.CoreConfig, opts contest.Options) string {
+func ContestKey(tr TraceIdentity, cfgs []config.CoreConfig, opts contest.Options) string {
 	return resultcache.Key("contest", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), cfgs, opts)
 }
 

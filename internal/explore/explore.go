@@ -31,6 +31,7 @@ import (
 
 	"archcontest/internal/branch"
 	"archcontest/internal/config"
+	"archcontest/internal/experiments"
 	"archcontest/internal/fastmodel"
 	"archcontest/internal/obs"
 	"archcontest/internal/resultcache"
@@ -324,7 +325,7 @@ func (e *evaluator) eval(ctx context.Context, s state) (config.CoreConfig, float
 	if err != nil {
 		return config.CoreConfig{}, 0, err
 	}
-	key := resultcache.Key("run", sim.EngineVersion, e.tr.Fingerprint(), e.tr.Name(), e.tr.Len(), cfg, e.ropts)
+	key := experiments.RunKey(e.tr, cfg, e.ropts)
 	var res sim.Result
 	if !e.cache.Get(key, &res) {
 		e.log.Time("eval", e.name, func() {

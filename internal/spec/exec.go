@@ -24,10 +24,10 @@ import (
 )
 
 // Env is the shared execution environment specs run in: the persistent
-// result cache and a memoized pool of experiment Labs, so many jobs (or
-// many experiments of one CLI invocation) share traces, memoized
-// artifacts, and the global parallelism bound instead of rebuilding them
-// per scenario.
+// result cache, a memoized pool of experiment Labs and a memo of trace
+// identities, so many jobs (or many experiments of one CLI invocation)
+// share traces, memoized artifacts, and the global parallelism bound
+// instead of rebuilding them per scenario.
 type Env struct {
 	// Cache, if non-nil, persists leaf results across specs and processes.
 	Cache *resultcache.Cache
@@ -39,6 +39,52 @@ type Env struct {
 
 	mu   sync.Mutex
 	labs map[string]*experiments.Lab
+	ids  map[traceShape]traceID
+}
+
+// maxTraceIDs caps the trace-identity memo. An entry is ~100 B, so a full
+// memo holds well under 1 MB; reaching the cap clears it, and the next job
+// of each shape regenerates its trace once.
+const maxTraceIDs = 4096
+
+// traceShape is what a run or contest spec asks of its trace.
+type traceShape struct {
+	bench string
+	n     int
+}
+
+// traceID is a generated trace's cache identity without its instructions.
+// workload.Generate is deterministic over a registry fixed for the life of
+// the process, so a shape's identity never changes once seen.
+type traceID struct {
+	name string
+	n    int
+	fp   uint64
+}
+
+func (t traceID) Name() string        { return t.name }
+func (t traceID) Len() int            { return t.n }
+func (t traceID) Fingerprint() uint64 { return t.fp }
+
+// traceID returns the remembered identity of the spec's trace, if any.
+func (e *Env) traceID(sp Spec) (traceID, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id, ok := e.ids[traceShape{sp.Bench, sp.N}]
+	return id, ok
+}
+
+// rememberTrace records and returns the identity of the spec's freshly
+// generated trace.
+func (e *Env) rememberTrace(sp Spec, tr *trace.Trace) traceID {
+	id := traceID{tr.Name(), tr.Len(), tr.Fingerprint()}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ids == nil || len(e.ids) >= maxTraceIDs {
+		e.ids = make(map[traceShape]traceID)
+	}
+	e.ids[traceShape{sp.Bench, sp.N}] = id
+	return id
 }
 
 // NewEnv builds an execution environment over an optional result cache.
@@ -233,35 +279,66 @@ func generateTrace(sp Spec) (*trace.Trace, error) {
 	return workload.Generate(p, sp.N)
 }
 
+// leafTrace resolves a run or contest spec against the result cache,
+// building its trace only when it must simulate. keyOf derives the leaf's
+// cache key from a trace identity.
+//
+// The cache serves (and learns) only plain executions: verification must
+// actually run, and a recording must observe real execution. A plain
+// spec's key comes from its trace identity, remembered from the first
+// time the Env generated that shape, so a repeat job is looked up before
+// any trace work; a hit decodes into cached and returns a nil trace. key
+// is empty for specs that bypass the cache. The memo only keys cache
+// lookups, so an Env without a cache keeps none.
+func (e *Env) leafTrace(sp Spec, keyOf func(experiments.TraceIdentity) string, cached any, hooks Hooks) (tr *trace.Trace, key string, err error) {
+	if e.Cache == nil {
+		tr, err = generateTrace(sp)
+		return tr, "", err
+	}
+	id, known := e.traceID(sp)
+	if !known {
+		if tr, err = generateTrace(sp); err != nil {
+			return nil, "", err
+		}
+		id = e.rememberTrace(sp, tr)
+	}
+	if !sp.Verify && !sp.Record {
+		key = keyOf(id)
+		if e.Cache.Get(key, cached) {
+			if hooks.Progress != nil {
+				hooks.Progress(int64(id.Len()), int64(id.Len()))
+			}
+			return nil, key, nil
+		}
+	}
+	if tr == nil {
+		tr, err = generateTrace(sp)
+	}
+	return tr, key, err
+}
+
 func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, error) {
 	cfgs, err := sp.ResolveCores()
 	if err != nil {
 		return nil, err
 	}
 	cfg := cfgs[0]
-	tr, err := generateTrace(sp)
-	if err != nil {
-		return nil, err
-	}
 	var opts sim.RunOptions
 	if sp.Run != nil {
 		opts = *sp.Run
 	}
 	out := &Outcome{Kind: KindRun}
 
-	// The cache serves (and learns) only plain executions: verification
-	// must actually run, and a recording must observe real execution.
-	key := experiments.RunKey(tr, cfg, opts)
-	cacheable := env.Cache != nil && !sp.Verify && !sp.Record
-	if cacheable {
-		var cached sim.Result
-		if env.Cache.Get(key, &cached) {
-			if hooks.Progress != nil {
-				hooks.Progress(int64(tr.Len()), int64(tr.Len()))
-			}
-			out.Run = &cached
-			return out, nil
-		}
+	var cached sim.Result
+	tr, key, err := env.leafTrace(sp, func(id experiments.TraceIdentity) string {
+		return experiments.RunKey(id, cfg, opts)
+	}, &cached, hooks)
+	if err != nil {
+		return nil, err
+	}
+	if tr == nil {
+		out.Run = &cached
+		return out, nil
 	}
 
 	var tracker *progressTracker
@@ -301,7 +378,7 @@ func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, 
 		}
 		out.Metrics = &m
 	}
-	if cacheable {
+	if key != "" {
 		env.Cache.Put(key, res)
 	}
 	out.Run = &res
@@ -310,10 +387,6 @@ func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, 
 
 func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, error) {
 	cfgs, err := sp.ResolveCores()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := generateTrace(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -326,17 +399,16 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 	}
 	out := &Outcome{Kind: KindContest}
 
-	key := experiments.ContestKey(tr, cfgs, opts)
-	cacheable := env.Cache != nil && !sp.Verify && !sp.Record
-	if cacheable {
-		var cached contest.Result
-		if env.Cache.Get(key, &cached) {
-			if hooks.Progress != nil {
-				hooks.Progress(int64(tr.Len()), int64(tr.Len()))
-			}
-			out.Contest = &cached
-			return out, nil
-		}
+	var cached contest.Result
+	tr, key, err := env.leafTrace(sp, func(id experiments.TraceIdentity) string {
+		return experiments.ContestKey(id, cfgs, opts)
+	}, &cached, hooks)
+	if err != nil {
+		return nil, err
+	}
+	if tr == nil {
+		out.Contest = &cached
+		return out, nil
 	}
 
 	var tracker *progressTracker
@@ -379,7 +451,7 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 		}
 		out.Metrics = &m
 	}
-	if cacheable {
+	if key != "" {
 		env.Cache.Put(key, res)
 	}
 	out.Contest = &res
