@@ -126,7 +126,7 @@ func PrintCacheStats(c *resultcache.Cache) {
 type ObsSet struct {
 	// Timeline is the -timeline path: a Chrome trace_event JSON of the run
 	// (cmd/contest) or of the campaign's artifact schedule
-	// (cmd/figures, cmd/matrix, cmd/explore), loadable in chrome://tracing
+	// (cmd/figures, cmd/explore), loadable in chrome://tracing
 	// and Perfetto.
 	Timeline string
 	// Metrics is the -metrics path: the run's aggregated observability

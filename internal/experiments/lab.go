@@ -321,6 +321,47 @@ func ContestKey(tr TraceIdentity, cfgs []config.CoreConfig, opts contest.Options
 	return resultcache.Key("contest", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), cfgs, opts)
 }
 
+// leaf returns (computing, deduplicating and caching) one leaf simulation,
+// the single path RunOn and ContestConfigs share. key is the leaf's content
+// address; kind and span name its artifact span; count is its executed-work
+// counter; run executes it, verified when the Lab verifies. Verified leaves
+// bypass the result cache in both directions, and a cancelled, failed or
+// violating leaf never reaches it.
+func leaf[R any](ctx context.Context, l *Lab, key, kind, span string, count *atomic.Int64, run func() (R, error)) (R, error) {
+	v, err := l.flight.do(ctx, kind+"/"+key, func() (any, error) {
+		cache := l.cfg.Cache
+		if l.cfg.Verify {
+			cache = nil
+		}
+		if cache != nil {
+			var cached R
+			if cache.Get(key, &cached) {
+				l.cacheHits.Add(1)
+				return cached, nil
+			}
+			l.cacheMisses.Add(1)
+		}
+		var r R
+		var rerr error
+		if eerr := l.execTimed(ctx, kind, span, func() {
+			count.Add(1)
+			r, rerr = run()
+		}); eerr != nil {
+			return nil, eerr
+		}
+		if rerr != nil {
+			return nil, rerr
+		}
+		cache.Put(key, r)
+		return r, nil
+	})
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return v.(R), nil
+}
+
 // RunOn returns (computing, deduplicating, and caching) one benchmark's
 // stand-alone run on one palette-or-custom core configuration.
 func (l *Lab) RunOn(ctx context.Context, bench string, cfg config.CoreConfig, opts sim.RunOptions) (sim.Result, error) {
@@ -328,49 +369,12 @@ func (l *Lab) RunOn(ctx context.Context, bench string, cfg config.CoreConfig, op
 	if err != nil {
 		return sim.Result{}, err
 	}
-	key := RunKey(tr, cfg, opts)
-	v, err := l.flight.do(ctx, "run/"+key, func() (any, error) {
+	return leaf(ctx, l, RunKey(tr, cfg, opts), "run", bench+"/"+cfg.Name, &l.sims, func() (sim.Result, error) {
 		if l.cfg.Verify {
-			var r sim.Result
-			var rerr error
-			if eerr := l.execTimed(ctx, "run", bench+"/"+cfg.Name, func() {
-				l.sims.Add(1)
-				r, rerr = l.runVerified(ctx, tr, cfg, opts)
-			}); eerr != nil {
-				return nil, eerr
-			}
-			if rerr != nil {
-				return nil, rerr
-			}
-			return r, nil
+			return invariant.Run(ctx, cfg, tr, opts, l.cfg.VerifyScanEvery)
 		}
-		if l.cfg.Cache != nil {
-			var cached sim.Result
-			if l.cfg.Cache.Get(key, &cached) {
-				l.cacheHits.Add(1)
-				return cached, nil
-			}
-			l.cacheMisses.Add(1)
-		}
-		var r sim.Result
-		var rerr error
-		if eerr := l.execTimed(ctx, "run", bench+"/"+cfg.Name, func() {
-			l.sims.Add(1)
-			r, rerr = sim.RunContext(ctx, cfg, tr, opts)
-		}); eerr != nil {
-			return nil, eerr
-		}
-		if rerr != nil {
-			// A cancelled or failed run never reaches the cache.
-			return nil, rerr
-		}
-		l.cfg.Cache.Put(key, r)
-		return r, nil
+		return sim.RunContext(ctx, cfg, tr, opts)
 	})
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return v.(sim.Result), nil
 }
 
 // Runs returns (computing and caching) the benchmark's single-core runs on
@@ -487,48 +491,12 @@ func (l *Lab) ContestConfigs(ctx context.Context, bench string, cfgs []config.Co
 	for _, c := range cfgs {
 		span += "/" + c.Name
 	}
-	key := ContestKey(tr, cfgs, opts)
-	v, err := l.flight.do(ctx, "contest/"+key, func() (any, error) {
+	return leaf(ctx, l, ContestKey(tr, cfgs, opts), "contest", span, &l.contests, func() (contest.Result, error) {
 		if l.cfg.Verify {
-			var r contest.Result
-			var rerr error
-			if eerr := l.execTimed(ctx, "contest", span, func() {
-				l.contests.Add(1)
-				r, rerr = l.contestVerified(ctx, tr, cfgs, opts)
-			}); eerr != nil {
-				return nil, eerr
-			}
-			if rerr != nil {
-				return nil, rerr
-			}
-			return r, nil
+			return invariant.Contest(ctx, cfgs, tr, opts, l.cfg.VerifyScanEvery)
 		}
-		if l.cfg.Cache != nil {
-			var cached contest.Result
-			if l.cfg.Cache.Get(key, &cached) {
-				l.cacheHits.Add(1)
-				return cached, nil
-			}
-			l.cacheMisses.Add(1)
-		}
-		var r contest.Result
-		var rerr error
-		if eerr := l.execTimed(ctx, "contest", span, func() {
-			l.contests.Add(1)
-			r, rerr = contest.RunContext(ctx, cfgs, tr, opts)
-		}); eerr != nil {
-			return nil, eerr
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		l.cfg.Cache.Put(key, r)
-		return r, nil
+		return contest.RunContext(ctx, cfgs, tr, opts)
 	})
-	if err != nil {
-		return contest.Result{}, err
-	}
-	return v.(contest.Result), nil
 }
 
 // ContestsConfigs evaluates a set of same-benchmark contests, in list
@@ -609,66 +577,6 @@ func (l *Lab) BestPair(ctx context.Context, bench string) (contest.Result, error
 		return contest.Result{}, err
 	}
 	return v.(contest.Result), nil
-}
-
-// labViolations collects checker violations of one verified leaf, capped so
-// a systematically broken run cannot accumulate unbounded error chains.
-type labViolations struct {
-	errs []error
-	more int
-}
-
-func (v *labViolations) add(err error) {
-	if len(v.errs) < 8 {
-		v.errs = append(v.errs, err)
-	} else {
-		v.more++
-	}
-}
-
-func (v *labViolations) err(what string) error {
-	if len(v.errs) == 0 {
-		return nil
-	}
-	if v.more > 0 {
-		v.errs = append(v.errs, fmt.Errorf("... and %d further violations", v.more))
-	}
-	return fmt.Errorf("experiments: verified %s: %w", what, errors.Join(v.errs...))
-}
-
-// runVerified executes one single-core leaf with the invariant checker and
-// differential oracle attached. Never cached: the checks happen during
-// execution.
-func (l *Lab) runVerified(ctx context.Context, tr *trace.Trace, cfg config.CoreConfig, opts sim.RunOptions) (sim.Result, error) {
-	var v labViolations
-	chk := invariant.NewCoreChecker(tr, invariant.Options{
-		OnViolation: v.add,
-		ScanEvery:   l.cfg.VerifyScanEvery,
-	})
-	opts.Checker = chk
-	r, err := sim.RunContext(ctx, cfg, tr, opts)
-	if err != nil {
-		return r, err
-	}
-	chk.Finish(int64(tr.Len()))
-	return r, v.err(fmt.Sprintf("run of %s on %s", tr.Name(), cfg.Name))
-}
-
-// contestVerified executes one contested leaf with per-core checkers and the
-// system observer attached. Never cached.
-func (l *Lab) contestVerified(ctx context.Context, tr *trace.Trace, cfgs []config.CoreConfig, opts contest.Options) (contest.Result, error) {
-	var v labViolations
-	obs := invariant.NewSystemObserver(tr, invariant.Options{
-		OnViolation: v.add,
-		ScanEvery:   l.cfg.VerifyScanEvery,
-	})
-	opts.Observer = obs
-	r, err := contest.RunContext(ctx, cfgs, tr, opts)
-	if err != nil {
-		return r, err
-	}
-	obs.Finish(r)
-	return r, v.err(fmt.Sprintf("contest of %s", tr.Name()))
 }
 
 // OwnCoreIPT reports the benchmark's stand-alone IPT on its own customized

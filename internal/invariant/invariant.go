@@ -8,8 +8,9 @@
 // single branches, so steady-state simulation with checking disabled stays
 // allocation-free and effectively unchanged. With checking enabled, every
 // violation is reported through Options.OnViolation (default: panic), which
-// makes the package directly usable from tests, from the fuzz harness, and
-// from the archcontest.RunVerified / ContestRunVerified facade.
+// makes the package directly usable from tests and from the fuzz harness.
+// Run and Contest (run.go) are the one verified-execution path the
+// archcontest facade, the experiments Lab and spec all call.
 //
 // Single-core invariants (CoreChecker):
 //

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -221,30 +220,6 @@ func (o progressObserver) Attach(*contest.System)           {}
 func (o progressObserver) CoreChecker(int) pipeline.Checker { return progressChecker{o.p} }
 func (o progressObserver) AfterStep(*contest.System, int)   {}
 
-// violations collects checker violations, capped.
-type violations struct {
-	errs []error
-	more int
-}
-
-func (v *violations) add(err error) {
-	if len(v.errs) < 8 {
-		v.errs = append(v.errs, err)
-	} else {
-		v.more++
-	}
-}
-
-func (v *violations) err(what string) error {
-	if len(v.errs) == 0 {
-		return nil
-	}
-	if v.more > 0 {
-		v.errs = append(v.errs, fmt.Errorf("... and %d further violations", v.more))
-	}
-	return fmt.Errorf("spec: verified %s: %w", what, errors.Join(v.errs...))
-}
-
 // Execute validates and runs the spec inside the environment. Cancelling
 // ctx stops the execution cooperatively: the engines exit at their next
 // context poll, campaign layers abandon un-started leaves, and no partial
@@ -345,29 +320,21 @@ func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, 
 	if hooks.Progress != nil {
 		tracker = newProgressTracker(hooks.Progress, int64(tr.Len()))
 	}
-	var vlog violations
-	var chk pipeline.Checker
-	if sp.Verify {
-		chk = invariant.NewCoreChecker(tr, invariant.Options{OnViolation: vlog.add})
-	}
+	var recChk pipeline.Checker
 	if sp.Record {
 		out.recorder = obs.NewRecorder(obs.Options{SampleIntervalNs: sp.SampleNs})
-	}
-	var recChk pipeline.Checker
-	if out.recorder != nil {
 		recChk = out.recorder.CoreChecker(0)
 	}
-	opts.Checker = obs.MultiChecker(tracker.checker(), recChk, chk)
+	opts.Checker = obs.MultiChecker(tracker.checker(), recChk)
 
-	res, err := sim.RunContext(ctx, cfg, tr, opts)
+	var res sim.Result
+	if sp.Verify {
+		res, err = invariant.Run(ctx, cfg, tr, opts, 0)
+	} else {
+		res, err = sim.RunContext(ctx, cfg, tr, opts)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if fin, ok := chk.(*invariant.CoreChecker); ok && fin != nil {
-		fin.Finish(int64(tr.Len()))
-	}
-	if verr := vlog.err(fmt.Sprintf("run of %s on %s", tr.Name(), cfg.Name)); verr != nil {
-		return nil, verr
 	}
 	tracker.finish()
 	if out.recorder != nil {
@@ -415,32 +382,21 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 	if hooks.Progress != nil {
 		tracker = newProgressTracker(hooks.Progress, int64(tr.Len()))
 	}
-	var vlog violations
-	var inv *invariant.SystemObserver
-	if sp.Verify {
-		inv = invariant.NewSystemObserver(tr, invariant.Options{OnViolation: vlog.add})
-	}
+	var recObs contest.Observer
 	if sp.Record {
 		out.recorder = obs.NewRecorder(obs.Options{SampleIntervalNs: sp.SampleNs})
-	}
-	var invObs, recObs contest.Observer
-	if inv != nil {
-		invObs = inv
-	}
-	if out.recorder != nil {
 		recObs = out.recorder
 	}
-	opts.Observer = obs.MultiObserver(tracker.observer(), recObs, invObs)
+	opts.Observer = obs.MultiObserver(tracker.observer(), recObs)
 
-	res, err := contest.RunContext(ctx, cfgs, tr, opts)
+	var res contest.Result
+	if sp.Verify {
+		res, err = invariant.Contest(ctx, cfgs, tr, opts, 0)
+	} else {
+		res, err = contest.RunContext(ctx, cfgs, tr, opts)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if inv != nil {
-		inv.Finish(res)
-	}
-	if verr := vlog.err(fmt.Sprintf("contest of %s", tr.Name())); verr != nil {
-		return nil, verr
 	}
 	tracker.finish()
 	if out.recorder != nil {

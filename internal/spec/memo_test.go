@@ -3,6 +3,7 @@ package spec
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -115,27 +116,39 @@ func TestTraceMemoKeys(t *testing.T) {
 }
 
 // TestTraceMemoBypass: verify and record specs neither read nor write the
-// cache, whether or not their shape is remembered.
+// cache, whether or not their shape is remembered, and return the plain
+// spec's result: the progress tracker, recorder and checker they compose
+// never perturb the run.
 func TestTraceMemoBypass(t *testing.T) {
 	for _, base := range []Spec{memoRun, memoContest} {
-		for _, watch := range []string{"verify", "record"} {
+		for _, watch := range []string{"verify", "record", "verify+record"} {
 			t.Run(base.Kind+"/"+watch, func(t *testing.T) {
 				sp := base
-				sp.Verify = watch == "verify"
-				sp.Record = watch == "record"
+				sp.Verify = strings.Contains(watch, "verify")
+				sp.Record = strings.Contains(watch, "record")
 				env := NewEnv(resultcache.New(nil, resultcache.Options{}))
+				progress := Hooks{Progress: func(done, total int64) {}}
 
 				// Cold: the watched spec runs, remembers its shape, stores nothing.
-				mustExecute(t, sp, env)
+				cold, err := Execute(context.Background(), sp, env, progress)
+				if err != nil {
+					t.Fatal(err)
+				}
 				wantStats(t, env.Cache, 0, 0, 0)
 				// So the plain spec misses once and stores.
-				mustExecute(t, base, env)
+				plain := mustExecute(t, base, env)
 				wantStats(t, env.Cache, 0, 1, 1)
 				// Warm: the watched spec still runs without a lookup.
 				out := mustExecute(t, sp, env)
 				wantStats(t, env.Cache, 0, 1, 1)
 				if sp.Record && out.Metrics == nil {
 					t.Error("recorded spec returned no metrics")
+				}
+				for _, o := range []*Outcome{cold, out} {
+					if !reflect.DeepEqual(o.Run, plain.Run) || !reflect.DeepEqual(o.Contest, plain.Contest) {
+						t.Errorf("watched result differs from the plain spec's:\nwatched: %+v %+v\nplain:   %+v %+v",
+							o.Run, o.Contest, plain.Run, plain.Contest)
+					}
 				}
 			})
 		}

@@ -14,13 +14,10 @@ package archcontest
 // during execution.
 
 import (
-	"errors"
-	"fmt"
+	"context"
 
-	"archcontest/internal/contest"
 	"archcontest/internal/invariant"
 	"archcontest/internal/oracle"
-	"archcontest/internal/sim"
 )
 
 // VerifyOptions tunes the verification layer of a verified run.
@@ -28,9 +25,6 @@ type VerifyOptions struct {
 	// ScanEvery is the cycle stride of the O(window) structural scans; the
 	// O(1) per-cycle checks always run. 0 scans every cycle.
 	ScanEvery int64
-	// MaxViolations caps how many violations are collected before the
-	// checker stops recording (the run still completes). 0 selects 16.
-	MaxViolations int
 }
 
 // OracleExecution computes the in-order reference execution of a trace:
@@ -38,75 +32,30 @@ type VerifyOptions struct {
 // reproduce.
 func OracleExecution(tr *Trace) *oracle.Execution { return oracle.Run(tr) }
 
-type violationLog struct {
-	max  int
-	errs []error
-	more int
-}
-
-func newViolationLog(max int) *violationLog {
-	if max <= 0 {
-		max = 16
-	}
-	return &violationLog{max: max}
-}
-
-func (v *violationLog) add(err error) {
-	if len(v.errs) < v.max {
-		v.errs = append(v.errs, err)
-	} else {
-		v.more++
-	}
-}
-
-func (v *violationLog) err() error {
-	if len(v.errs) == 0 {
-		return nil
-	}
-	if v.more > 0 {
-		v.errs = append(v.errs, fmt.Errorf("... and %d further violations", v.more))
-	}
-	return errors.Join(v.errs...)
-}
-
 // RunVerified executes a trace on a single core with the invariant checker
-// and differential oracle attached. It returns the run's result — identical
-// to Run's — and an error describing every invariant violation observed, if
-// any.
+// and differential oracle attached, after any checker the options already
+// carry. It returns the run's result — identical to Run's — and an error
+// describing every invariant violation observed, if any.
 func RunVerified(cfg CoreConfig, tr *Trace, opts ...RunOptions) (RunResult, error) {
 	var o RunOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	return runVerified(cfg, tr, o, VerifyOptions{})
+	return RunVerifiedWith(cfg, tr, o, VerifyOptions{})
 }
 
 // RunVerifiedWith is RunVerified with explicit verification tuning.
 func RunVerifiedWith(cfg CoreConfig, tr *Trace, o RunOptions, vo VerifyOptions) (RunResult, error) {
-	return runVerified(cfg, tr, o, vo)
-}
-
-func runVerified(cfg CoreConfig, tr *Trace, o RunOptions, vo VerifyOptions) (RunResult, error) {
-	log := newViolationLog(vo.MaxViolations)
-	chk := invariant.NewCoreChecker(tr, invariant.Options{
-		OnViolation: log.add,
-		ScanEvery:   vo.ScanEvery,
-	})
-	o.Checker = chk
-	res, err := sim.Run(cfg, tr, o)
-	if err != nil {
-		return res, err
-	}
-	chk.Finish(int64(tr.Len()))
-	return res, log.err()
+	return invariant.Run(context.Background(), cfg, tr, o, vo.ScanEvery)
 }
 
 // ContestRunVerified executes a contested run with the full verification
-// subsystem attached: per-core invariant checkers plus the system observer
-// asserting the contest protocol (bounded lag, GRB injection timing, leader
-// accounting, store-merge/oracle prefix, exception rendezvous). It returns
-// the run's result — identical to ContestRun's — and an error describing
-// every violation observed, if any.
+// subsystem attached, after any observer the options already carry:
+// per-core invariant checkers plus the system observer asserting the
+// contest protocol (bounded lag, GRB injection timing, leader accounting,
+// store-merge/oracle prefix, exception rendezvous). It returns the run's
+// result — identical to ContestRun's — and an error describing every
+// violation observed, if any.
 func ContestRunVerified(cfgs []CoreConfig, tr *Trace, opts ContestOptions) (ContestResult, error) {
 	return ContestRunVerifiedWith(cfgs, tr, opts, VerifyOptions{})
 }
@@ -114,16 +63,5 @@ func ContestRunVerified(cfgs []CoreConfig, tr *Trace, opts ContestOptions) (Cont
 // ContestRunVerifiedWith is ContestRunVerified with explicit verification
 // tuning.
 func ContestRunVerifiedWith(cfgs []CoreConfig, tr *Trace, opts ContestOptions, vo VerifyOptions) (ContestResult, error) {
-	log := newViolationLog(vo.MaxViolations)
-	obs := invariant.NewSystemObserver(tr, invariant.Options{
-		OnViolation: log.add,
-		ScanEvery:   vo.ScanEvery,
-	})
-	opts.Observer = obs
-	res, err := contest.Run(cfgs, tr, opts)
-	if err != nil {
-		return res, err
-	}
-	obs.Finish(res)
-	return res, log.err()
+	return invariant.Contest(context.Background(), cfgs, tr, opts, vo.ScanEvery)
 }

@@ -10,9 +10,12 @@ import (
 	"testing"
 
 	"archcontest/internal/branch"
+	"archcontest/internal/contest"
 	"archcontest/internal/invariant"
 	"archcontest/internal/oracle"
+	"archcontest/internal/pipeline"
 	"archcontest/internal/sim"
+	"archcontest/internal/ticks"
 )
 
 // verifyScanEvery strides the O(window) structural scans in the golden
@@ -226,3 +229,57 @@ func TestInvariantDetectsViolation(t *testing.T) {
 }
 
 var _ = sim.EngineVersion // keep the import pinned to the engine the suite verifies
+
+// retireCounter is a caller's own checker: it counts retirements per core.
+type retireCounter struct{ retired []int64 }
+
+func (r *retireCounter) CoreChecker(core int) pipeline.Checker {
+	for len(r.retired) <= core {
+		r.retired = append(r.retired, 0)
+	}
+	return coreRetireCounter{r, core}
+}
+
+func (r *retireCounter) Attach(*contest.System)         {}
+func (r *retireCounter) AfterStep(*contest.System, int) {}
+
+type coreRetireCounter struct {
+	r    *retireCounter
+	core int
+}
+
+func (c coreRetireCounter) AfterCycle(*pipeline.Core)                  {}
+func (c coreRetireCounter) OnRetire(*pipeline.Core, int64, ticks.Time) { c.r.retired[c.core]++ }
+func (c coreRetireCounter) OnInject(*pipeline.Core, int64, ticks.Time) {}
+
+// TestVerifiedKeepsCallerHooks locks that a verified run attaches its
+// checker after the caller's own checker or observer instead of replacing
+// it: the caller's hook still sees every retirement.
+func TestVerifiedKeepsCallerHooks(t *testing.T) {
+	tr := MustGenerateTrace("twolf", 5000)
+	var run retireCounter
+	if _, err := RunVerified(MustPaletteCore("twolf"), tr, RunOptions{Checker: run.CoreChecker(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if run.retired[0] != int64(tr.Len()) {
+		t.Errorf("caller's checker saw %d of %d retirements", run.retired[0], tr.Len())
+	}
+
+	var con retireCounter
+	cfgs := []CoreConfig{MustPaletteCore("twolf"), MustPaletteCore("vpr")}
+	res, err := ContestRunVerified(cfgs, tr, ContestOptions{Observer: &con})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(con.retired) != len(cfgs) {
+		t.Fatalf("caller's observer attached to %d of %d cores", len(con.retired), len(cfgs))
+	}
+	for i, st := range res.PerCore {
+		if con.retired[i] != st.Retired {
+			t.Errorf("core %d: caller's observer saw %d retirements, core retired %d", i, con.retired[i], st.Retired)
+		}
+	}
+	if con.retired[res.Winner] != int64(tr.Len()) {
+		t.Errorf("winner: caller's observer saw %d of %d retirements", con.retired[res.Winner], tr.Len())
+	}
+}
