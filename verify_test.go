@@ -67,28 +67,16 @@ func TestInvariantGoldenSingleCore(t *testing.T) {
 }
 
 func TestInvariantGoldenContested(t *testing.T) {
-	pairs := []struct {
-		a, b string
-		opts ContestOptions
-	}{
-		{"gcc", "mcf", ContestOptions{}},
-		{"bzip", "crafty", ContestOptions{LatencyNs: 5}},
-		{"twolf", "vpr", ContestOptions{ExceptionEvery: 512}},
-		{"gzip", "perl", ContestOptions{MaxLag: 64}},
-		{"gap", "vortex", ContestOptions{ExceptionEvery: 768, ExceptionKillRefork: true}},
-		{"mcf", "parser", ContestOptions{StoreQueueCap: 8}},
-	}
-	benches := []string{"gcc", "mcf", "twolf", "gzip"}
-	for _, p := range pairs {
-		cfgs := []CoreConfig{MustPaletteCore(p.a), MustPaletteCore(p.b)}
-		for _, b := range benches {
+	for _, sys := range goldenContests {
+		cfgs := paletteCores(sys.cores)
+		for _, b := range goldenContestBenches {
 			tr := MustGenerateTrace(b, goldenInsts)
-			res, err := ContestRunVerifiedWith(cfgs, tr, p.opts, VerifyOptions{ScanEvery: verifyScanEvery})
+			res, err := ContestRunVerifiedWith(cfgs, tr, sys.opts, VerifyOptions{ScanEvery: verifyScanEvery})
 			if err != nil {
-				t.Fatalf("%s vs %s on %s: %v", p.a, p.b, b, err)
+				t.Fatalf("%v on %s: %v", sys.cores, b, err)
 			}
 			if res.Insts != int64(tr.Len()) {
-				t.Fatalf("%s vs %s on %s: retired %d of %d", p.a, p.b, b, res.Insts, tr.Len())
+				t.Fatalf("%v on %s: retired %d of %d", sys.cores, b, res.Insts, tr.Len())
 			}
 		}
 	}
