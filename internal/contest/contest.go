@@ -1,11 +1,15 @@
 // Package contest implements architectural contesting — the paper's primary
 // contribution. N cores of a heterogeneous CMP concurrently execute the
 // same dynamic instruction stream; each broadcasts its retired results on
-// its global result bus (GRB) with a configurable core-to-core latency, and
-// each consumes the other cores' results through per-sender result FIFOs.
+// the global result bus (GRB) with a configurable core-to-core latency, and
+// each consumes the other cores' results through its own result FIFO: a
+// consume cursor (the pop counter) into one arrival ring the system shares.
+// The latency is the same for every pair and retirements happen in global
+// time order, so a result's earliest arrival at every receiver is the first
+// retirer's, and one ring serves all receivers.
 //
-// A core whose fetch counter has caught up with a result FIFO's pop counter
-// is trailing (the paper's Scenario #2): it pairs arriving results with the
+// A core whose fetch counter has caught up with its pop counter is trailing
+// (the paper's Scenario #2): it pairs arriving results with the
 // instructions it fetches and completes them without executing them, which
 // keeps it within a bounded lagging distance of the leader. When the
 // workload behaviour changes, the core best suited to the new region drains
@@ -16,13 +20,12 @@
 // hierarchy and merged below it by a synchronizing store queue, SRT-style:
 // one merged instance proceeds to the shared level once every active core
 // has performed the store. A core whose peak consume rate cannot keep up
-// with the leader overflows its result FIFO and is detected as a saturated
-// lagger; contesting is disabled for it, exactly as the paper prescribes.
+// with the leader falls MaxLag results behind and is detected as a
+// saturated lagger; contesting is disabled for it, exactly as the paper
+// prescribes.
 package contest
 
 import (
-	"fmt"
-
 	"archcontest/internal/pipeline"
 	"archcontest/internal/ticks"
 )
@@ -156,8 +159,8 @@ type Result struct {
 	// LeadChanges counts how often the identity of the most-retired core
 	// changed during the run.
 	LeadChanges int64
-	// Saturated marks cores whose result FIFO overflowed (contesting was
-	// disabled for them).
+	// Saturated marks cores that fell MaxLag results behind (contesting
+	// was disabled for them).
 	Saturated []bool
 	// PerCore holds each core's final counters.
 	PerCore []pipeline.Stats
@@ -180,100 +183,37 @@ func (r Result) IPT() float64 {
 	return float64(r.Insts) / ns
 }
 
-// senderRing buffers the in-flight results of one remote core on their way
-// into (and inside) this core's result FIFO: index range [lo, hi) with the
-// arrival time of each. The pop-counter/fetch-counter protocol reduces to
-// index arithmetic because results arrive in retirement order.
-type senderRing struct {
-	arr  []ticks.Time
-	lo   int64 // oldest retained index (pop counter)
-	hi   int64 // one past the newest retained index
-	next int64 // next index the sender will broadcast
-}
-
-func newSenderRing(capacity int) *senderRing {
-	return &senderRing{arr: make([]ticks.Time, capacity)}
-}
-
-// push records the arrival of result idx at time t. Results the receiver
-// has already consumed past are dropped (Scenario #1's discarded late
-// results). It reports false when the FIFO is full — the receiver is a
-// saturated lagger.
-func (s *senderRing) push(idx int64, t ticks.Time) bool {
-	if idx != s.next {
-		panic(fmt.Sprintf("contest: out-of-order GRB push %d, expected %d", idx, s.next))
-	}
-	s.next++
-	if idx < s.lo {
-		return true // receiver already fetched past this result
-	}
-	if idx-s.lo >= int64(len(s.arr)) {
-		return false
-	}
-	s.arr[idx%int64(len(s.arr))] = t
-	s.hi = idx + 1
-	return true
-}
-
-func (s *senderRing) available(idx int64, t ticks.Time) bool {
-	return idx >= s.lo && idx < s.hi && s.arr[idx%int64(len(s.arr))] <= t
-}
-
-// nextArrival reports the known arrival time of result idx, if the sender
-// has already broadcast it (the result is retained, possibly still in
-// flight).
-func (s *senderRing) nextArrival(idx int64) (ticks.Time, bool) {
-	if idx < s.lo || idx >= s.hi {
-		return 0, false
-	}
-	return s.arr[idx%int64(len(s.arr))], true
-}
-
-func (s *senderRing) consumeThrough(idx int64) {
-	if idx+1 > s.lo {
-		s.lo = idx + 1
-	}
-	if s.lo > s.hi {
-		s.hi = s.lo
-	}
-}
-
-// feed is one core's view of the other cores' result buses; it implements
-// pipeline.ResultFeed.
+// feed is one core's result FIFO on the system's global result bus; it
+// implements pipeline.ResultFeed. Results below lo have been consumed or
+// discarded; results in [lo, busHi) are retained, each at its earliest
+// arrival.
 type feed struct {
-	senders  []*senderRing
+	sys      *System
+	lo       int64 // pop counter: the oldest result still retained
 	disabled bool
 }
 
-func (f *feed) ResultAvailable(idx int64, t ticks.Time) bool {
-	if f.disabled {
-		return false
-	}
-	for _, s := range f.senders {
-		if s.available(idx, t) {
-			return true
-		}
-	}
-	return false
-}
-
-func (f *feed) NextArrival(idx int64) (ticks.Time, bool) {
-	if f.disabled {
+// arrival reports the earliest arrival time of result idx, if it has been
+// broadcast and this core has not consumed past it (the result is
+// retained, possibly still in flight).
+func (f *feed) arrival(idx int64) (ticks.Time, bool) {
+	s := f.sys
+	if f.disabled || idx < f.lo || idx >= s.busHi {
 		return 0, false
 	}
-	var best ticks.Time
-	found := false
-	for _, s := range f.senders {
-		if at, ok := s.nextArrival(idx); ok && (!found || at < best) {
-			best, found = at, true
-		}
-	}
-	return best, found
+	return s.bus[idx%int64(len(s.bus))], true
 }
 
+func (f *feed) ResultAvailable(idx int64, t ticks.Time) bool {
+	at, ok := f.arrival(idx)
+	return ok && at <= t
+}
+
+func (f *feed) NextArrival(idx int64) (ticks.Time, bool) { return f.arrival(idx) }
+
 func (f *feed) ConsumeThrough(idx int64) {
-	for _, s := range f.senders {
-		s.consumeThrough(idx)
+	if idx >= f.lo {
+		f.lo = idx + 1
 	}
 }
 

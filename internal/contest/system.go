@@ -20,17 +20,23 @@ type System struct {
 	opts    Options
 	tr      *trace.Trace
 
+	// bus is the global result bus: the earliest arrival of result idx at
+	// bus[idx%MaxLag], retained for [busHi-MaxLag, busHi). busHi is one
+	// past the newest index any core has broadcast, and sent[i] counts the
+	// results core i has broadcast.
+	bus   []ticks.Time
+	busHi int64
+	sent  []int64
+
 	saturated   []bool
 	leadChanges int64
 	leader      int
 	exc         *exceptionCoordinator
 
-	// bounds, allocated only by the event-driven scheduler, holds per-core
-	// fast-forward bounds: every cycle of core i with a clock edge strictly
-	// before bounds[i] is known to be dead. A retirement anywhere in the
-	// system clamps every other core's bound to the retirement time, since
-	// its side effects (result arrival, store-queue drain, saturation,
-	// exception rendezvous) can wake a core no earlier than that.
+	// bounds holds per-core fast-forward bounds: every cycle of core i
+	// with a clock edge strictly before bounds[i] is known to be dead. The
+	// single-step scheduler leaves every bound at zero. A retirement
+	// clamps the bound of every core its result can wake (see broadcast).
 	bounds []ticks.Time
 }
 
@@ -64,16 +70,15 @@ func NewSystem(cfgs []config.CoreConfig, tr *trace.Trace, opts Options) (*System
 		opts:      opts,
 		tr:        tr,
 		queue:     NewStoreQueue(n, opts.StoreQueueCap),
+		bus:       make([]ticks.Time, opts.MaxLag),
+		sent:      make([]int64, n),
 		saturated: make([]bool, n),
+		bounds:    make([]ticks.Time, n),
 		feeds:     make([]*feed, n),
 		cores:     make([]*pipeline.Core, n),
 	}
 	for i := range s.feeds {
-		f := &feed{senders: make([]*senderRing, 0, n-1)}
-		for j := 0; j < n-1; j++ {
-			f.senders = append(f.senders, newSenderRing(opts.MaxLag))
-		}
-		s.feeds[i] = f
+		s.feeds[i] = &feed{sys: s}
 	}
 	if opts.ExceptionEvery > 0 {
 		s.exc = &exceptionCoordinator{
@@ -143,41 +148,54 @@ func (s *System) IsSaturated(i int) bool { return s.saturated[i] }
 // (read-only, except for installing the Merged callback before the run).
 func (s *System) Queue() *StoreQueue { return s.queue }
 
-// FeedState reports the state of receiver's result FIFO for sender: the
-// pop counter (lo), one past the newest retained result (hi), and the next
-// index the sender will broadcast. ok is false when receiver == sender.
+// FeedState reports receiver's view of sender's results: receiver's pop
+// counter (lo), one past the newest result from sender it retains (hi, at
+// least lo), and the number of results sender has broadcast (next). ok is
+// false when receiver == sender.
 func (s *System) FeedState(receiver, sender int) (lo, hi, next int64, ok bool) {
 	if receiver == sender {
 		return 0, 0, 0, false
 	}
-	ring := s.feeds[receiver].senders[senderSlot(receiver, sender)]
-	return ring.lo, ring.hi, ring.next, true
+	lo, next = s.feeds[receiver].lo, s.sent[sender]
+	return lo, max(lo, next), next, true
 }
 
-// senderSlot maps sender `from` into receiver `to`'s ring list (receivers
-// hold one ring per remote core, ordered by core index with self skipped).
-func senderSlot(to, from int) int {
-	if from < to {
-		return from
+// BusArrival reports the arrival time the global result bus holds for
+// result idx; ok is false unless idx is retained, in [busHi-MaxLag, busHi).
+func (s *System) BusArrival(idx int64) (at ticks.Time, ok bool) {
+	if idx >= s.busHi || idx < s.busHi-int64(len(s.bus)) || idx < 0 {
+		return 0, false
 	}
-	return from - 1
+	return s.bus[idx%int64(len(s.bus))], true
 }
 
-// broadcast is core `from`'s global result bus: the retired result of
-// instruction idx reaches every other core after the propagation latency.
-// A receiver whose FIFO overflows is a saturated lagger: contesting is
-// disabled for it and its stores stop gating the store queue.
+// broadcast puts core `from`'s retired result idx on the global result bus.
+// Latency is the same for every pair of cores and retirements happen in
+// global time order, so the first core to retire idx delivers it earliest
+// to every receiver: its copy is the only one written, and later copies
+// change nothing. The first retirer never takes its own copy: it has
+// fetched past idx, or idx is its own mispredicted branch, complete and
+// redirecting before the copy arrives. A receiver the first copy finds
+// MaxLag results behind is a saturated lagger: contesting is disabled for
+// it and its stores stop gating the store queue.
 func (s *System) broadcast(from int, idx int64, at ticks.Time) {
+	if idx != s.sent[from] {
+		panic(fmt.Sprintf("contest: core %d broadcast %d out of order, expected %d", from, idx, s.sent[from]))
+	}
+	s.sent[from]++
+	if idx < s.busHi {
+		return
+	}
 	arrival := at.Add(s.latency)
-	for to := range s.cores {
-		if to == from || s.saturated[to] || s.feeds[to].disabled {
+	s.bus[idx%int64(len(s.bus))] = arrival
+	s.busHi = idx + 1
+	for to, f := range s.feeds {
+		// Receivers that already fetched past idx discard it (Scenario
+		// #1's late results).
+		if to == from || f.disabled || idx < f.lo {
 			continue
 		}
-		ring := s.feeds[to].senders[senderSlot(to, from)]
-		// Drop anything the receiver has already fetched past; the receiver
-		// also consumes on its own cycle, but a slow receiver's view must
-		// not overflow on what it would discard anyway.
-		if !ring.push(idx, arrival) {
+		if idx-f.lo >= int64(len(s.bus)) {
 			s.declareSaturated(to)
 			continue
 		}
@@ -188,7 +206,7 @@ func (s *System) broadcast(from int, idx int64, at ticks.Time) {
 		// blocked on them presents itself every cycle (extStalled), and an
 		// unblocked core consults them exactly at its own retire candidate,
 		// which its bound already includes.
-		if s.bounds != nil && s.bounds[to] > arrival {
+		if s.bounds[to] > arrival {
 			s.bounds[to] = arrival
 		}
 	}
@@ -214,7 +232,8 @@ func (s *System) Run() (Result, error) {
 
 // RunContext is Run with cooperative cancellation: both scheduler loops
 // poll ctx.Done() every ctxPollStride iterations and return ctx.Err() when
-// the context ends. A Background context costs one nil check at entry.
+// the context ends. A Background context costs one nil check at entry. A
+// system runs once.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
 	if s.opts.SingleStep {
 		return s.runSingleStep(ctx)
@@ -223,10 +242,10 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 }
 
 // runSingleStep is the reference scheduler: one cycle of one core at a
-// time, always the core with the earliest next clock edge.
+// time, always the core with the earliest next clock edge. It never sets a
+// fast-forward bound, so next picks by clock edge alone.
 func (s *System) runSingleStep(ctx context.Context) (Result, error) {
 	maxTime := ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs))
-	n := len(s.cores)
 	done := ctx.Done()
 	var poll int
 	for {
@@ -240,124 +259,40 @@ func (s *System) runSingleStep(ctx context.Context) (Result, error) {
 				}
 			}
 		}
-		// Step the core with the earliest next clock edge; ties resolve by
-		// core index, the paper's round-robin handshake order.
-		min := 0
-		for i := 1; i < n; i++ {
-			if s.cores[i].Now() < s.cores[min].Now() {
-				min = i
-			}
-		}
-		c := s.cores[min]
+		i := s.next()
+		c := s.cores[i]
 		if c.Now() > maxTime {
 			return Result{}, fmt.Errorf("contest: %s exceeded %gns without finishing", s.tr.Name(), s.opts.MaxTimeNs)
 		}
 		c.Step()
-		if r := c.Retired(); r > s.cores[s.leader].Retired() && min != s.leader {
-			s.leader = min
+		if r := c.Retired(); r > s.cores[s.leader].Retired() && i != s.leader {
+			s.leader = i
 			s.leadChanges++
 		}
 		if s.opts.Observer != nil {
-			s.opts.Observer.AfterStep(s, min)
+			s.opts.Observer.AfterStep(s, i)
 		}
 		if c.Done() {
-			return s.result(min), nil
+			return s.result(i), nil
 		}
 	}
 }
 
-// runner holds the event-driven scheduler's per-run state (the indexed
-// core heap, the fast-forward bounds, the time budget). step executes
-// exactly one scheduler iteration — a dead-cycle fast-forward or one core
-// cycle — and runEventDriven drives it to completion.
-type runner struct {
-	s       *System
-	h       *coreHeap
-	maxTime ticks.Time
-	winner  int
-}
-
-// newRunner prepares the system for event-driven execution. A system runs
-// once: building a second runner on the same system is invalid.
-func (s *System) newRunner() *runner {
-	s.bounds = make([]ticks.Time, len(s.cores))
-	return &runner{
-		s:       s,
-		h:       newCoreHeap(s),
-		maxTime: ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs)),
-		winner:  -1,
-	}
-}
-
-// step executes one scheduler iteration. It reports true when the contest
-// finished (the winner is recorded on the runner), and an error when a core
-// exceeded the time budget. Calling step after completion is invalid.
-//
-// The scheduling rule: cores live in an indexed min-heap keyed on each
-// core's live edge — the later of its current clock edge and its
-// fast-forward bound. Popping the heap minimum guarantees that every other
-// core's next state change lies at or beyond that time, so a popped core
-// whose bound is ahead of its clock may jump straight to the bound: all the
-// skipped cycles are dead, and nothing another core does in the meantime
-// (clamped into the bound by broadcast) can wake it earlier.
+// runEventDriven is the fast scheduler. A core that made no progress gets
+// a fast-forward bound at its next event, and next picks the core with the
+// earliest live edge — the later of its clock edge and its bound. Every
+// other core's next state change then lies at or beyond that time, so a
+// picked core whose bound is ahead of its clock may jump straight to the
+// bound: all the skipped cycles are dead, and nothing another core does in
+// the meantime (clamped into the bound by broadcast) can wake it earlier.
 //
 // The execution it produces is the single-step schedule with dead cycles
 // deleted: every progressing step of every core happens at the same cycle,
 // in the same global order, with the same inputs, so all reported numbers —
 // including each core's dead-cycle-inflated Stats.Cycles, reconstructed at
 // the end by settle — are bit-identical to runSingleStep.
-func (r *runner) step() (bool, error) {
-	s := r.s
-	i := r.h.min()
-	c := s.cores[i]
-	if c.Now() > r.maxTime {
-		return false, fmt.Errorf("contest: %s exceeded %gns without finishing", s.tr.Name(), s.opts.MaxTimeNs)
-	}
-	if b := s.bounds[i]; b > c.Now() {
-		// Fast-forward over the dead cycles to the first edge at or
-		// past the bound.
-		clk := c.Clock()
-		cc := clk.CycleAt(b)
-		if clk.TimeOfCycle(cc) < b {
-			cc++
-		}
-		c.SkipTo(cc)
-		s.bounds[i] = 0
-		r.h.fix()
-		return false, nil
-	}
-	c.Step()
-	if ret := c.Retired(); ret > s.cores[s.leader].Retired() && i != s.leader {
-		s.leader = i
-		s.leadChanges++
-	}
-	if s.opts.Observer != nil {
-		s.opts.Observer.AfterStep(s, i)
-	}
-	if c.Done() {
-		s.settle(i)
-		r.winner = i
-		return true, nil
-	}
-	if c.Progressed() {
-		s.bounds[i] = 0
-	} else if next, ok := c.NextEvent(); ok {
-		s.bounds[i] = c.Clock().TimeOfCycle(next)
-	} else {
-		// Blocked on the store queue or the exception rendezvous:
-		// their state changes on other cores' retirements in ways the
-		// core cannot bound, and the gate consult itself mutates the
-		// coordinator, so the core must present itself every cycle.
-		s.bounds[i] = 0
-	}
-	// The step may have broadcast retirements that clamped any bound.
-	r.h.fix()
-	return false, nil
-}
-
-// runEventDriven drives a runner to completion (see runner).
 func (s *System) runEventDriven(ctx context.Context) (Result, error) {
-	r := s.newRunner()
+	maxTime := ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs))
 	done := ctx.Done()
 	var poll int
 	for {
@@ -371,14 +306,63 @@ func (s *System) runEventDriven(ctx context.Context) (Result, error) {
 				}
 			}
 		}
-		fin, err := r.step()
-		if err != nil {
-			return Result{}, err
+		i := s.next()
+		c := s.cores[i]
+		if c.Now() > maxTime {
+			return Result{}, fmt.Errorf("contest: %s exceeded %gns without finishing", s.tr.Name(), s.opts.MaxTimeNs)
 		}
-		if fin {
-			return s.result(r.winner), nil
+		if b := s.bounds[i]; b > c.Now() {
+			// Fast-forward over the dead cycles to the first edge at or
+			// past the bound.
+			clk := c.Clock()
+			cc := clk.CycleAt(b)
+			if clk.TimeOfCycle(cc) < b {
+				cc++
+			}
+			c.SkipTo(cc)
+			s.bounds[i] = 0
+			continue
+		}
+		c.Step()
+		if r := c.Retired(); r > s.cores[s.leader].Retired() && i != s.leader {
+			s.leader = i
+			s.leadChanges++
+		}
+		if s.opts.Observer != nil {
+			s.opts.Observer.AfterStep(s, i)
+		}
+		if c.Done() {
+			s.settle(i)
+			return s.result(i), nil
+		}
+		if c.Progressed() {
+			s.bounds[i] = 0
+		} else if next, ok := c.NextEvent(); ok {
+			s.bounds[i] = c.Clock().TimeOfCycle(next)
+		} else {
+			// Blocked on the store queue or the exception rendezvous:
+			// their state changes on other cores' retirements in ways the
+			// core cannot bound, and the gate consult itself mutates the
+			// coordinator, so the core must present itself every cycle.
+			s.bounds[i] = 0
 		}
 	}
+}
+
+// next reports the core to schedule: the one with the earliest live edge,
+// ties broken by core index — the paper's round-robin handshake order.
+func (s *System) next() int {
+	best, bestAt := 0, ticks.Time(0)
+	for i, c := range s.cores {
+		t := c.Now()
+		if b := s.bounds[i]; b > t {
+			t = b
+		}
+		if i == 0 || t < bestAt {
+			best, bestAt = i, t
+		}
+	}
+	return best
 }
 
 // settle reconstructs the losing cores' cycle counters at the moment the

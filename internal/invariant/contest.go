@@ -8,9 +8,12 @@ package invariant
 //     sender, the sender's broadcast counter never runs more than MaxLag
 //     results ahead of the follower's pop counter, and the result FIFO
 //     retention never exceeds its capacity (paper §4.1.4);
-//   - feed bookkeeping: each sender ring's broadcast counter equals that
-//     sender's retired count, and the pop counter never passes the
-//     receiver's fetch counter;
+//   - feed bookkeeping: each sender's broadcast counter equals its retired
+//     count, and a receiver's pop counter never passes its fetch counter;
+//   - global result bus: every retained bus slot holds the first
+//     retirement time of its index plus the propagation latency — the
+//     earliest arrival at any receiver — and nothing past the newest
+//     retired index is on the bus;
 //   - GRB-consumed results match the oracle: a core may complete a fetched
 //     instruction from the feed only if some other core retired exactly
 //     that instruction at least one propagation latency earlier — and the
@@ -56,9 +59,14 @@ type SystemObserver struct {
 
 	// retireAt[core][seq] is the absolute retirement time of seq on core,
 	// or -1 until it retires; retired[core] mirrors each core's retired
-	// count from observed retirements only.
+	// count from observed retirements only. firstAt[seq] is the earliest
+	// retirement of seq on any core, and busHi one past the newest index
+	// retired anywhere.
 	retireAt [][]ticks.Time
 	retired  []int64
+	firstAt  []ticks.Time
+	busHi    int64
+	steps    int64
 
 	// the independent leader mirror
 	leader      int
@@ -135,6 +143,10 @@ func (o *SystemObserver) Attach(sys *contest.System) {
 	o.excEvry = copts.ExceptionEvery
 	n := sys.NumCores()
 	o.retired = make([]int64, n)
+	o.firstAt = make([]ticks.Time, o.tr.Len())
+	for j := range o.firstAt {
+		o.firstAt[j] = -1
+	}
 	o.retireAt = make([][]ticks.Time, n)
 	for i := range o.retireAt {
 		at := make([]ticks.Time, o.tr.Len())
@@ -174,6 +186,10 @@ func (o *SystemObserver) noteRetire(core int, seq int64, at ticks.Time) {
 	}
 	o.retireAt[core][seq] = at
 	o.retired[core] = seq + 1
+	if o.firstAt[seq] < 0 {
+		o.firstAt[seq] = at
+		o.busHi = seq + 1
+	}
 
 	// Exception rendezvous: an excepting instruction retires only after
 	// every active core has reached it.
@@ -235,6 +251,7 @@ func (o *SystemObserver) AfterStep(sys *contest.System, core int) {
 	// Lagging distance and feed bookkeeping for every non-saturated
 	// receiver.
 	n := sys.NumCores()
+	minLo := o.busHi
 	for recv := 0; recv < n; recv++ {
 		if sys.IsSaturated(recv) {
 			continue
@@ -257,6 +274,24 @@ func (o *SystemObserver) AfterStep(sys *contest.System, core int) {
 			if lo > fetch {
 				o.violate("receiver %d consumed through %d past its fetch counter %d", recv, lo, fetch)
 			}
+			minLo = min(minLo, lo)
+		}
+	}
+
+	// The bus: nothing past the newest retired index, the newest slot
+	// every step, and every slot some receiver can still read every
+	// ScanEvery-th step.
+	if at, ok := sys.BusArrival(o.busHi); ok {
+		o.violate("bus holds result %d (arrival %v), but only %d results have retired", o.busHi, at, o.busHi)
+	}
+	from := max(o.busHi-1, 0)
+	if o.steps++; o.steps%max(o.opts.ScanEvery, 1) == 0 {
+		from = max(minLo, o.busHi-o.maxLag, 0)
+	}
+	for idx := from; idx < o.busHi; idx++ {
+		want := o.firstAt[idx].Add(o.latency)
+		if at, ok := sys.BusArrival(idx); !ok || at != want {
+			o.violate("bus slot of result %d holds %v (retained %v), first retirement plus latency is %v", idx, at, ok, want)
 		}
 	}
 }
