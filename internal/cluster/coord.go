@@ -290,6 +290,20 @@ func (j *coordJob) bumpLocked() {
 	}
 }
 
+// finish ingests a terminal node-side snapshot line and finalizes the
+// record in the same critical section, so a watcher woken by the line
+// never sees a terminal state without its result.
+func (j *coordJob) finish(line map[string]any) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.lastView = line
+	if !j.terminal {
+		j.terminal = true
+		close(j.done)
+	}
+	j.bumpLocked()
+}
+
 // markTerminal finalizes the record exactly once. A non-empty failErr
 // declares a coordinator-level failure (node loss) that overrides
 // whatever the last node snapshot said.
@@ -303,6 +317,12 @@ func (j *coordJob) markTerminal(failErr string) {
 	j.failErr = failErr
 	j.bumpLocked()
 	close(j.done)
+}
+
+// isTerminalState reports whether a node-side snapshot line is terminal.
+func isTerminalState(line map[string]any) bool {
+	state, _ := line["state"].(string)
+	return state == "done" || state == "failed" || state == "cancelled"
 }
 
 func (j *coordJob) isTerminal() bool {
@@ -351,7 +371,7 @@ func (j *coordJob) view(withResult bool) (map[string]any, int64, bool) {
 	} else if j.terminal && j.cancelled {
 		// The node may have died before reporting the cancellation; don't
 		// leave a terminal record claiming to still be running.
-		if s, _ := v["state"].(string); s != "done" && s != "failed" && s != "cancelled" {
+		if !isTerminalState(v) {
 			v["state"] = "cancelled"
 		}
 	}
@@ -500,11 +520,11 @@ func (c *Coordinator) watchOnce(j *coordJob) bool {
 		if json.Unmarshal(sc.Bytes(), &line) != nil {
 			return false
 		}
-		j.update(line)
-		if state, _ := line["state"].(string); state == "done" || state == "failed" || state == "cancelled" {
-			j.markTerminal("")
+		if isTerminalState(line) {
+			j.finish(line)
 			return true
 		}
+		j.update(line)
 	}
 	return false
 }
@@ -536,9 +556,10 @@ func (c *Coordinator) remoteAlive(j *coordJob) bool {
 	if json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&line) != nil {
 		return false
 	}
-	j.update(line)
-	if state, _ := line["state"].(string); state == "done" || state == "failed" || state == "cancelled" {
-		j.markTerminal("")
+	if isTerminalState(line) {
+		j.finish(line)
+	} else {
+		j.update(line)
 	}
 	return true
 }
