@@ -1,6 +1,6 @@
 // Benchmarks: one per table and figure of the paper's evaluation, each
 // printing the same rows/series the paper reports (at a reduced trace
-// length — run cmd/figures for full-scale numbers), plus engine
+// length — run archcontest figures for full-scale numbers), plus engine
 // micro-benchmarks that report simulated instructions per wall-second.
 package archcontest
 
@@ -15,8 +15,9 @@ import (
 )
 
 // benchN is the trace length used by the experiment benchmarks. Full-scale
-// runs (cmd/figures, default 1M) take minutes; this keeps `go test -bench`
-// in seconds per experiment while preserving every code path.
+// runs (archcontest figures, default 1M) take minutes; this keeps
+// `go test -bench` in seconds per experiment while preserving every code
+// path.
 const benchN = 60_000
 
 var (

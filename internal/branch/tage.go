@@ -110,12 +110,6 @@ func NewTAGE(logBase, tables, logSize, tagBits, minHist, maxHist int) (*TAGE, er
 	return t, nil
 }
 
-// HistoryLengths returns a copy of the geometric history series, shortest
-// first. It exists for tests and for the fast model's memo key.
-func (t *TAGE) HistoryLengths() []int {
-	return append([]int(nil), t.hists...)
-}
-
 // geometricHistories returns n strictly increasing history lengths within
 // [min, max]: L(i) = min * (max/min)^(i/(n-1)), rounded, with forward and
 // backward passes enforcing strict monotonicity inside the range (the

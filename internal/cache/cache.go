@@ -444,7 +444,6 @@ type Hierarchy struct {
 	// fills behind the demand stream (see AttachPrefetcher). pfBuf is its
 	// reusable scratch, sized so no conforming prefetcher needs to grow it.
 	pf    Prefetcher
-	pfCfg PrefetchConfig
 	pfBuf [8]uint64
 
 	// Prefetches counts issued prefetch fills (blocks actually brought into
@@ -491,13 +490,8 @@ func (h *Hierarchy) AttachPrefetcher(cfg PrefetchConfig) error {
 		return err
 	}
 	h.pf = pf
-	h.pfCfg = cfg
 	return nil
 }
-
-// PrefetchConfigured reports the attached prefetcher's configuration (the
-// zero value when none is attached).
-func (h *Hierarchy) PrefetchConfigured() PrefetchConfig { return h.pfCfg }
 
 // Reset invalidates both levels and clears statistics and port state.
 func (h *Hierarchy) Reset() {

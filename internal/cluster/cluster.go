@@ -2,10 +2,11 @@
 // horizontally sharded fleet. It has three layers:
 //
 //   - Node: the per-node HTTP API over a jobs.Runner (the same /v1/jobs
-//     surface cmd/serve has always exposed), extended with bounded-queue
-//     backpressure (429/503 shed-load responses with Retry-After), a
-//     load-reporting /healthz, and an optional /v1/blobs mount that shares
-//     the node's result-cache backend with the rest of the fleet.
+//     surface archcontest serve has always exposed), extended with
+//     bounded-queue backpressure (429/503 shed-load responses with
+//     Retry-After), a load-reporting /healthz, and an optional /v1/blobs
+//     mount that shares the node's result-cache backend with the rest of
+//     the fleet.
 //
 //   - Coordinator: the cluster facade. It shards incoming scenario specs
 //     across N nodes with cache-aware routing — rendezvous hashing over

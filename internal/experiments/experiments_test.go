@@ -7,7 +7,7 @@ import (
 )
 
 // testLab is sized for CI: small traces exercise every code path; the
-// absolute numbers are validated at full scale by cmd/figures runs.
+// absolute numbers are validated at full scale by archcontest figures runs.
 func testLab() *Lab {
 	return NewLab(Config{N: 30_000, CandidatePairs: 2})
 }

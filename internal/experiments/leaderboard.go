@@ -209,8 +209,8 @@ func LeaderboardRun(ctx context.Context, l *Lab, benches []string) (*Leaderboard
 
 // leaderboardBenches is the experiment's workload subset: branchy, memory-
 // bound, and mixed behaviour, so every component axis has a workload that
-// exercises it. The full-suite championship is cmd/bench -leaderboard,
-// which writes BENCH_leaderboard.json.
+// exercises it. The full-suite championship is `archcontest bench
+// -leaderboard`, which writes BENCH_leaderboard.json.
 var leaderboardBenches = []string{"gcc", "mcf", "twolf", "crafty"}
 
 // Leaderboard runs the championship: every registered predictor x

@@ -80,7 +80,7 @@ func TestVerifiedLabBypassesCache(t *testing.T) {
 
 // The acceptance sweep: every registered experiment runs clean under full
 // verification (CI-scaled; the figures themselves are validated at full
-// scale by cmd/figures).
+// scale by archcontest figures).
 func TestVerifiedFiguresSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("verified experiment sweep in short mode")

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Metrics is the aggregated observability report of one run. The JSON
 // field names are a stable schema (SchemaVersion); downstream analysis
@@ -167,14 +163,4 @@ func intervalsFor(events []Event, core int32) []IntervalMetrics {
 		prev = e
 	}
 	return out
-}
-
-// WriteJSON writes the metrics as indented JSON.
-func (m Metrics) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
 }

@@ -50,9 +50,6 @@ func (i Inspector) DispSeq() int64 { return i.c.dispSeq }
 // TailSeq is the next instruction to fetch (the core's fetch counter).
 func (i Inspector) TailSeq() int64 { return i.c.tailSeq }
 
-// FetchEnd is the trace length.
-func (i Inspector) FetchEnd() int64 { return i.c.fetchEnd }
-
 // RingSize is the structural window capacity: the bound fetch enforces on
 // tailSeq-headSeq. The physical slot ring is the next power of two above
 // it.
@@ -148,6 +145,3 @@ func (i Inspector) ReadyAt(seq int64) int64 { return i.c.readyAtOf(seq & i.c.rin
 
 // RetiredCount is the number of retired instructions.
 func (i Inspector) RetiredCount() int64 { return i.c.stats.Retired }
-
-// CycleCount is the Stats.Cycles counter.
-func (i Inspector) CycleCount() int64 { return i.c.stats.Cycles }

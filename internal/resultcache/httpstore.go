@@ -17,9 +17,9 @@ const MaxBlobBytes = 64 << 20
 
 // HTTPStore is the remote object-store backend: a Store client for the
 // /v1/blobs API served by BlobHandler (embedded in every serve node and in
-// cmd/cachesrv). Many processes sharing one HTTPStore base URL share one
-// content-addressed result tier; the Cache's in-memory LRU in front keeps
-// repeated lookups off the network.
+// archcontest cachesrv). Many processes sharing one HTTPStore base URL
+// share one content-addressed result tier; the Cache's in-memory LRU in
+// front keeps repeated lookups off the network.
 type HTTPStore struct {
 	base   string
 	client *http.Client

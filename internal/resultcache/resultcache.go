@@ -1,9 +1,9 @@
 // Package resultcache is the campaign engine's persistent memo table: a
 // content-addressed store of simulation results keyed by a hash of
 // everything that determines them (engine version, trace fingerprint, core
-// configuration, run options). A re-run of cmd/figures after editing one
-// core configuration re-simulates only the runs whose keys changed;
-// everything else is served from the backend.
+// configuration, run options). A re-run of archcontest figures after
+// editing one core configuration re-simulates only the runs whose keys
+// changed; everything else is served from the backend.
 //
 // The cache has two tiers. An in-memory LRU of recently used encoded
 // entries absorbs repeated lookups within a process; a pluggable Store
